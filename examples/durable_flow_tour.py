@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Durable Python workflows — the decorator front end (DESIGN.md §16).
 
-A plain Python function becomes a durable workflow: ``@step`` bodies
-are journaled and run exactly once, ``@transaction`` steps write
-through a savepointed transaction scope, and the ``@workflow`` body
-re-runs from the top on every attempt with completed steps answered
-from the journal. This tour runs a checkout flow, crashes the engine
-mid-flow, resumes on a fresh engine over the same journal, and shows
-that no step body re-executed.
+A plain Python function becomes a durable workflow: the ``@workflow``
+body runs to completion in one attempt, each ``@step`` outcome is
+appended to the engine journal as its own record the moment the step
+finishes, and ``@transaction`` steps write through a savepointed
+transaction scope.  Only a crash makes the body run again: the resumed
+attempt answers every journaled step from its record and runs the rest
+live.  This tour runs a checkout flow, crashes the engine mid-flow
+(a fault rule fails the journal's fsync just after the fourth record),
+resumes on a fresh engine over the same journal, and shows that no
+step body re-executed.
 
 Run with::
 
@@ -18,7 +21,9 @@ import os
 import tempfile
 
 from repro.core.scoped import install_scope_service
+from repro.errors import JournalError
 from repro.flow import StepFailure, install_flows, step, transaction, workflow
+from repro.resilience import FaultInjector, FaultRule
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms import Engine
 
@@ -62,8 +67,8 @@ def checkout(flow, sku):
     return {"sku": sku, "total": total + surcharge, "balance": balance}
 
 
-def build_engine(journal_path, db):
-    engine = Engine(journal_path=journal_path)
+def build_engine(journal_path, db, injector=None):
+    engine = Engine(journal_path=journal_path, fault_injector=injector)
     install_scope_service(engine, ScopeManager(db))
     runtime = install_flows(engine, [checkout], seed=7)
     return engine, runtime
@@ -74,14 +79,20 @@ def main() -> None:
     db = SimDatabase()
     print("journal:", journal_path)
 
-    engine, runtime = build_engine(journal_path, db)
+    # Journal records: the start, then fetch, taxed, risky — the disk
+    # "fails" right after the fourth reached the file.
+    failing_disk = FaultInjector(
+        [FaultRule("journal.fsync", match="append", schedule={4})]
+    )
+    engine, runtime = build_engine(journal_path, db, failing_disk)
     uuid = runtime.start("checkout", "sku-1")
     print("started flow", uuid)
-    for _ in range(3):
-        engine.step()
+    try:
+        engine.run()
+    except JournalError as exc:
+        print("\n*** machine failure mid-flow: %s ***\n" % exc)
+    assert engine.crashed
     print("bodies so far:", [c[0] for c in invocations])
-
-    print("\n*** machine failure mid-flow ***\n")
     engine.crash()
 
     engine, runtime = build_engine(journal_path, db)
@@ -94,6 +105,7 @@ def main() -> None:
     print("bodies total: ", [c[0] for c in invocations])
     print("replayed steps on resume:",
           runtime.counters["steps_replayed_resume"])
+    assert runtime.counters["steps_replayed_resume"] == 3
     assert len(invocations) == len(set(map(repr, invocations))), (
         "durable flows must never re-execute a journaled step body"
     )

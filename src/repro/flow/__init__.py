@@ -16,20 +16,13 @@ from repro.errors import FlowError, StepFailure
 from repro.flow.api import Flow, StepSpec, step, transaction, workflow
 from repro.flow.compile import (
     ARGS,
-    DONE,
     DRIVE,
     DRIVE_PROGRAM,
     ERROR,
-    JOURNAL,
     RESULT,
     compile_flow,
 )
-from repro.flow.context import (
-    FlowContext,
-    FlowSuspend,
-    current_context,
-    encode_args,
-)
+from repro.flow.context import FlowContext, current_context, encode_args
 from repro.flow.ids import FlowIdAllocator
 from repro.flow.runtime import (
     FLOW_SERVICE,
@@ -42,7 +35,6 @@ from repro.flow.runtime import (
 
 __all__ = [
     "ARGS",
-    "DONE",
     "DRIVE",
     "DRIVE_PROGRAM",
     "ERROR",
@@ -53,8 +45,6 @@ __all__ = [
     "FlowIdAllocator",
     "FlowResult",
     "FlowRuntime",
-    "FlowSuspend",
-    "JOURNAL",
     "RESULT",
     "StepFailure",
     "StepSpec",

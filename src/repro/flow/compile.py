@@ -1,19 +1,18 @@
 """Flow -> ProcessDefinition compilation.
 
-A decorated workflow compiles to a *one-activity* definition: a
-single looping ``Drive`` activity whose exit condition (``_DONE = 1``)
-holds only once the Python function returned (or failed).  Each
-attempt of ``Drive`` re-runs the function from the top, replays the
-journaled step results, executes at most one new step, and publishes
-the updated step journal on its output container; a loop-carried self
-data connector feeds that journal into the next attempt's input.
+A decorated workflow compiles to a *one-activity* definition: a single
+``Drive`` activity whose program (``flow_drive``) calls the Python
+function once and runs it to completion.  Each ``@step`` /
+``@transaction`` call inside journals its own ``flow_step`` record
+the moment it finishes (:meth:`repro.wfms.navigator.Navigator.
+record_flow_step`); ``Drive``'s completion record carries only the
+function's result or error.
 
-The payoff of this shape is that durability costs nothing new: every
-attempt completion is an ordinary ``activity_completed`` journal
-record, so the escalated-completion replay machinery (PR 4) and the
-checkpointing store (PR 5) replay a crashed flow without knowing
-flows exist — the step journal rides inside the activity's recorded
-output containers.
+Durability therefore needs no flow-specific recovery path: a crash
+mid-function leaves ``Drive`` without a completion record, so replay
+reschedules it "from the beginning" (§3.3) like any interrupted
+activity, and the new attempt answers every journaled call from the
+step records the replay cursor (or the checkpoint) handed back.
 """
 
 from __future__ import annotations
@@ -40,10 +39,8 @@ DRIVE_PROGRAM = "flow_drive"
 
 #: Container member names (process- and drive-level).
 ARGS = "_ARGS"          # JSON {"a": [...], "k": {...}} of the start call
-JOURNAL = "_JOURNAL"    # JSON step journal, loop-carried between attempts
 RESULT = "_RESULT"      # JSON of the function's return value
 ERROR = "_ERROR"        # "Type: message" when the flow failed
-DONE = "_DONE"          # 1 once the function returned or failed
 
 
 def _digest_code(code: types.CodeType, hasher) -> None:
@@ -99,24 +96,16 @@ def compile_flow(flow) -> ProcessDefinition:
         Activity(
             DRIVE,
             program=DRIVE_PROGRAM,
-            input_spec=[
-                VariableDecl(ARGS, DataType.STRING),
-                VariableDecl(JOURNAL, DataType.STRING),
-            ],
+            input_spec=[VariableDecl(ARGS, DataType.STRING)],
             output_spec=[
-                VariableDecl(JOURNAL, DataType.STRING),
                 VariableDecl(RESULT, DataType.STRING),
                 VariableDecl(ERROR, DataType.STRING),
-                VariableDecl(DONE, DataType.LONG),
             ],
-            exit_condition="%s = 1" % DONE,
-            description="flow driver: one journaled step per attempt "
+            description="flow driver: one journal record per step "
             "[body %s]" % flow_body_digest(flow),
         )
     )
     definition.map_data(PROCESS_INPUT, DRIVE, [(ARGS, ARGS)])
-    # Loop-carried: this attempt's journal is the next attempt's input.
-    definition.map_data(DRIVE, DRIVE, [(JOURNAL, JOURNAL)])
     definition.map_data(
         DRIVE,
         PROCESS_OUTPUT,

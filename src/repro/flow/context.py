@@ -1,24 +1,27 @@
-"""FlowContext: the per-invocation step journal and replay cursor.
+"""FlowContext: one attempt's ``function_id`` counter over the step table.
 
 Execution model (one ``Drive`` attempt = one call of the workflow
-function from the top):
+function, run to completion):
 
 * Every ``@step`` / ``@transaction`` call inside the body takes the
   next ``function_id`` (a plain counter, exactly as in the DBOS
   ``WorkflowContext`` exemplar).  The step's durable key is
   ``(workflow_uuid, function_id)``.
-* If the journal holds an entry for that id, the recorded result is
-  returned (or the recorded :class:`~repro.errors.StepFailure`
-  re-raised) **without invoking the body** — this is replay, both for
-  the ordinary attempt loop and for crash-resume.
-* The first call with no journal entry runs live: the body executes
-  exactly once, its outcome is journaled, and the attempt owns it.
-  Any *further* new call raises :class:`FlowSuspend`, which unwinds
-  the workflow function so the engine can journal the attempt and
-  reschedule — at most one step body runs per attempt, so a completed
-  attempt record durably implies its step ran.
-* A function return (or uncaught exception) ends the flow in the
-  attempt that saw it.
+* If the instance's step table holds a record for that id, the
+  recorded result is returned (or the recorded
+  :class:`~repro.errors.StepFailure` re-raised) **without invoking the
+  body**.  Only an attempt resuming after a crash finds records; an
+  uninterrupted flow replays nothing.
+* Otherwise the body runs live and its outcome is appended to the
+  engine journal as one ``flow_step`` record before the call returns.
+  That append is the journal point: a step's effect is durable iff its
+  record is.  A body whose record never reached the journal (the crash
+  fell between the two) runs again on resume.
+* A failed append kills the attempt: the error is kept and re-raised
+  by every later step call and by the driver, whatever the workflow
+  code does with it, so the engine degrades to crashed and recovery
+  resumes the flow from its durable records.
+* A function return (or uncaught exception) ends the flow.
 
 Transactional steps run inside one flow-lifetime
 :class:`~repro.tx.scope.TransactionScope` under a per-step savepoint.
@@ -39,15 +42,7 @@ from typing import Any
 
 from repro.core.scoped import SCOPE_SERVICE
 from repro.errors import FlowError, StepFailure, TransactionAborted, ScopeError
-from repro.flow.compile import ARGS, JOURNAL
-
-
-class FlowSuspend(BaseException):
-    """Internal control flow: ends an attempt after its live step.
-
-    A ``BaseException`` so ordinary ``except Exception`` handlers in
-    workflow code cannot swallow it; ``finally`` blocks still run.
-    """
+from repro.flow.compile import ARGS
 
 
 _CURRENT: contextvars.ContextVar["FlowContext | None"] = (
@@ -109,55 +104,45 @@ class RecordingScope:
 class FlowContext:
     """Passed to the workflow function as its first argument."""
 
-    def __init__(self, runtime, flow, invocation, replay_mode: str):
+    def __init__(self, runtime, flow, invocation, navigator):
         self.runtime = runtime
         self.flow = flow
         self.uuid: str = invocation.instance_id
         self.attempt: int = invocation.attempt
         self._services = invocation.services
-        self._replay_mode = replay_mode  # "loop" | "resume"
+        self._navigator = navigator
         raw_args = invocation.input.get(ARGS) or ""
         call = json.loads(raw_args) if raw_args else {"a": [], "k": {}}
         self.args: tuple = tuple(call.get("a", []))
         self.kwargs: dict = dict(call.get("k", {}))
-        raw = invocation.input.get(JOURNAL) or ""
-        state = json.loads(raw) if raw else {"s": {}, "scope": ""}
-        #: function_id (as str) -> journal entry.
-        self._steps: dict[str, dict] = state.get("s", {})
-        self._scope_handle: str = state.get("scope", "")
+        #: function_id -> journaled ``flow_step`` record: what earlier,
+        #: interrupted attempts made durable (empty on a first attempt).
+        self._steps: dict[int, dict] = navigator.flow_steps(self.uuid)
         self._fid = 0
-        self._live_done = False
         self._scope = None
+        #: the journal failure that killed this attempt, if any.
+        self._fatal: BaseException | None = None
         #: Journaled ok-transaction effects, [(fid, {key: final})].
-        self._txn_effects: list[tuple[int, dict]] = []
-        for key in sorted(self._steps, key=int):
-            entry = self._steps[key]
-            if entry.get("k") == "txn" and entry.get("s") == "ok":
-                self._txn_effects.append((int(key), entry.get("w", {})))
-        #: Highest fid whose effects live in the currently open scope.
-        self._synced_fid = -1
-        manager = self._services.get(SCOPE_SERVICE)
-        if self._scope_handle and manager is not None:
-            scope = manager.get(self._scope_handle)
-            if scope is not None:
-                # The flow's scope survived since the last attempt:
-                # every journaled effect is already in it.
-                self._scope = scope
-                if self._txn_effects:
-                    self._synced_fid = self._txn_effects[-1][0]
+        self._txn_effects: list[tuple[int, dict]] = [
+            (fid, self._steps[fid]["w"])
+            for fid in sorted(self._steps)
+            if "w" in self._steps[fid]
+        ]
+
+    @property
+    def resumed(self) -> bool:
+        """Whether an interrupted earlier attempt journaled steps."""
+        return bool(self._steps)
 
     # -- step dispatch ---------------------------------------------------
 
     def call(self, spec, args: tuple, kwargs: dict) -> Any:
+        self.raise_if_fatal()
         self._fid += 1
         fid = self._fid
-        entry = self._steps.get(str(fid))
+        entry = self._steps.get(fid)
         if entry is not None:
             return self._replay(fid, spec, entry)
-        if self._live_done:
-            # This attempt already ran its one live step; journal it
-            # before any further side effect.
-            raise FlowSuspend()
         if fid > self.flow.max_steps:
             raise FlowError(
                 "flow %r exceeded max_steps=%d"
@@ -166,6 +151,11 @@ class FlowContext:
         if spec.transactional:
             return self._execute_transaction(fid, spec, args, kwargs)
         return self._execute_step(fid, spec, args, kwargs)
+
+    def raise_if_fatal(self) -> None:
+        """Re-raise the journal failure that killed this attempt."""
+        if self._fatal is not None:
+            raise self._fatal
 
     # -- replay ----------------------------------------------------------
 
@@ -176,11 +166,11 @@ class FlowContext:
                 "journaled as step %r but replay called %r"
                 % (self.flow.name, fid, entry.get("n"), spec.name)
             )
-        if entry.get("k") == "txn" and entry.get("s") == "ok":
+        if "w" in entry:
             # Make sure the journaled effects exist in a live scope
             # (re-establishes and re-applies after a scope loss).
             self._ensure_scope()
-        self.runtime.on_step_replayed(self, spec, fid, self._replay_mode)
+        self.runtime.on_step_replayed(self, spec, fid)
         if entry.get("s") == "ok":
             return entry.get("v")
         raise StepFailure(
@@ -189,20 +179,23 @@ class FlowContext:
 
     # -- live execution --------------------------------------------------
 
+    def _journal(self, fid: int, outcome: dict) -> None:
+        """Append one step's outcome: the step's journal point."""
+        self.raise_if_fatal()
+        try:
+            self._navigator.record_flow_step(self.uuid, fid, outcome)
+        except BaseException as exc:
+            self._fatal = exc
+            raise
+
     def _execute_step(self, fid: int, spec, args, kwargs) -> Any:
         started = time.perf_counter()
         try:
-            value = spec.fn(*args, **kwargs)
-            value = self._normalize(spec, value)
-        except FlowSuspend:
-            raise
+            value = self._normalize(spec, spec.fn(*args, **kwargs))
         except Exception as exc:
-            self._record_failure(fid, spec, "step", exc)
+            self._record_failure(fid, spec, exc)
             raise StepFailure(spec.name, type(exc).__name__, str(exc))
-        self._steps[str(fid)] = {
-            "k": "step", "n": spec.name, "s": "ok", "v": value,
-        }
-        self._live_done = True
+        self._journal(fid, {"n": spec.name, "s": "ok", "v": value})
         self.runtime.on_step_executed(
             self, spec, fid, time.perf_counter() - started, ok=True
         )
@@ -215,10 +208,8 @@ class FlowContext:
         try:
             scope.savepoint(savepoint)
             proxy = RecordingScope(scope)
-            value = spec.fn(proxy, *args, **kwargs)
-            value = self._normalize(spec, value)
-        except FlowSuspend:
-            raise
+            value = self._normalize(spec, spec.fn(proxy, *args, **kwargs))
+            effects = self._normalize(spec, proxy.effects)
         except Exception as exc:
             # Step-local failure: undo only this step's writes.  When
             # the *whole scope* died instead (timeout, deadlock, a
@@ -230,28 +221,22 @@ class FlowContext:
             try:
                 scope.rollback_to_savepoint(savepoint)
             except (ScopeError, TransactionAborted):
-                self._scope = None
-                self._synced_fid = -1
-            self._record_failure(fid, spec, "txn", exc)
+                pass
+            self._record_failure(fid, spec, exc)
             raise StepFailure(spec.name, type(exc).__name__, str(exc))
-        self._steps[str(fid)] = {
-            "k": "txn", "n": spec.name, "s": "ok", "v": value,
-            "w": proxy.effects,
-        }
-        self._txn_effects.append((fid, proxy.effects))
-        self._synced_fid = fid
-        self._live_done = True
+        self._journal(
+            fid, {"n": spec.name, "s": "ok", "v": value, "w": effects}
+        )
+        self._txn_effects.append((fid, effects))
         self.runtime.on_step_executed(
             self, spec, fid, time.perf_counter() - started, ok=True
         )
         return value
 
-    def _record_failure(self, fid: int, spec, kind: str, exc) -> None:
-        self._steps[str(fid)] = {
-            "k": kind, "n": spec.name, "s": "err",
-            "t": type(exc).__name__, "m": str(exc),
-        }
-        self._live_done = True
+    def _record_failure(self, fid: int, spec, exc) -> None:
+        outcome = {"n": spec.name, "s": "err"}
+        outcome["t"], outcome["m"] = type(exc).__name__, str(exc)
+        self._journal(fid, outcome)
         self.runtime.on_step_executed(self, spec, fid, 0.0, ok=False)
 
     def _normalize(self, spec, value: Any) -> Any:
@@ -281,19 +266,16 @@ class FlowContext:
             )
         if self._scope is not None and manager.get(self._scope.handle):
             return self._scope
-        reestablish = bool(self._scope_handle or self._txn_effects)
+        reestablish = self._scope is not None or bool(self._txn_effects)
         scope = manager.begin(
             self.uuid,
             isolation=self.flow.isolation,
             timeout=self.flow.scope_timeout,
         )
-        for fid, effects in self._txn_effects:
+        for __, effects in self._txn_effects:
             for key in sorted(effects):
                 scope.write(key, effects[key])
-        if self._txn_effects:
-            self._synced_fid = self._txn_effects[-1][0]
         self._scope = scope
-        self._scope_handle = scope.handle
         if reestablish:
             self.runtime.on_scope_reestablished(self)
         return scope
@@ -311,13 +293,3 @@ class FlowContext:
             scope.commit()
         else:
             scope.rollback("flow %s failed" % self.uuid)
-
-    # -- state for the driver --------------------------------------------
-
-    @property
-    def step_count(self) -> int:
-        """function_ids consumed so far this attempt."""
-        return self._fid
-
-    def journal_text(self) -> str:
-        return canon({"s": self._steps, "scope": self._scope_handle})

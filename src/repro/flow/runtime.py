@@ -5,10 +5,13 @@ registers the generic ``flow_drive`` program once, registers each
 flow's compiled definition through the ordinary
 :class:`~repro.wfms.registry.DefinitionRegistry` (idempotent on
 re-import), allocates deterministic workflow uuids, and keeps the
-replayed/resumed counters the monitor's FLOWS view renders.
+executed/replayed/resumed counters the monitor's FLOWS view renders.
 
-Because a flow is just a process whose single activity loops, the
-same runtime installs unchanged on every execution substrate: a plain
+The driver program runs the workflow function to completion in one
+``Drive`` attempt; each step journals its own ``flow_step`` record
+through the engine's navigator (:mod:`repro.flow.context`).  Because a
+flow is just a one-activity process plus those records, the same
+runtime installs unchanged on every execution substrate: a plain
 :class:`~repro.wfms.engine.Engine`, each shard of a
 :class:`~repro.wfms.sharding.ShardedEngine` (install from the
 ``configure`` callback so shard rebuilds re-install it), or a
@@ -22,22 +25,8 @@ import json
 from typing import Any
 
 from repro.errors import FlowError, TransactionAborted
-from repro.flow.compile import (
-    ARGS,
-    DONE,
-    DRIVE,
-    DRIVE_PROGRAM,
-    ERROR,
-    JOURNAL,
-    RESULT,
-)
-from repro.flow.context import (
-    FlowContext,
-    FlowSuspend,
-    _CURRENT,
-    canon,
-    encode_args,
-)
+from repro.flow.compile import ARGS, DRIVE, DRIVE_PROGRAM, ERROR, RESULT
+from repro.flow.context import FlowContext, _CURRENT, canon, encode_args
 from repro.flow.ids import FlowIdAllocator
 from repro.obs import FlowStepExecuted, FlowStepReplayed
 from repro.wfms.model import RETURN_CODE
@@ -104,9 +93,6 @@ class FlowRuntime:
         self._flows: dict[str, Any] = {}  # definition name -> Flow
         self._ids = FlowIdAllocator(seed, prefix=id_prefix)
         self._engine = None
-        #: uuids this engine incarnation has driven at least once —
-        #: a journaled uuid *not* in here is a crash-resumed flow.
-        self._seen: set[str] = set()
         self.counters = {
             "flows_started": 0,
             "flows_completed": 0,
@@ -114,7 +100,6 @@ class FlowRuntime:
             "flows_resumed": 0,
             "steps_executed": 0,
             "steps_failed": 0,
-            "steps_replayed_loop": 0,
             "steps_replayed_resume": 0,
             "txn_steps": 0,
             "scopes_reestablished": 0,
@@ -207,38 +192,20 @@ class FlowRuntime:
                 "definition %r has no registered flow on this runtime"
                 % ctx.process
             )
-        replay_mode = "loop"
-        if ctx.instance_id not in self._seen:
-            self._seen.add(ctx.instance_id)
-            raw = ctx.input.get(JOURNAL) or ""
-            if raw and json.loads(raw).get("s"):
-                # First sight of a uuid that already has journaled
-                # steps: this engine incarnation is resuming it.
-                replay_mode = "resume"
-                self.counters["flows_resumed"] += 1
-                self._stats[flow.name]["resumed"] += 1
-        fctx = FlowContext(self, flow, ctx, replay_mode)
+        fctx = FlowContext(self, flow, ctx, self._engine.navigator)
+        if fctx.resumed:
+            self.counters["flows_resumed"] += 1
+            self._stats[flow.name]["resumed"] += 1
         token = _CURRENT.set(fctx)
         try:
             value = flow.fn(fctx, *fctx.args, **fctx.kwargs)
-        except FlowSuspend:
-            if not fctx._live_done:
-                return self._fail(
-                    fctx,
-                    ctx,
-                    flow,
-                    FlowError(
-                        "flow suspended without executing a step "
-                        "(FlowSuspend must not be raised by user code)"
-                    ),
-                )
-            ctx.output.set(JOURNAL, fctx.journal_text())
-            ctx.output.set(DONE, 0)
-            return 0
         except Exception as exc:
+            # A journal failure ends the attempt, never the flow.
+            fctx.raise_if_fatal()
             return self._fail(fctx, ctx, flow, exc)
         finally:
             _CURRENT.reset(token)
+        fctx.raise_if_fatal()
         try:
             encoded = canon(value) if value is not None else ""
         except (TypeError, ValueError) as exc:
@@ -255,7 +222,6 @@ class FlowRuntime:
         except TransactionAborted as exc:
             return self._fail(fctx, ctx, flow, exc)
         ctx.output.set(RESULT, encoded)
-        ctx.output.set(DONE, 1)
         self.counters["flows_completed"] += 1
         self._stats[flow.name]["completed"] += 1
         return 0
@@ -263,7 +229,6 @@ class FlowRuntime:
     def _fail(self, fctx, ctx, flow, exc) -> int:
         fctx.finish_scope(commit=False)
         ctx.output.set(ERROR, "%s: %s" % (type(exc).__name__, exc))
-        ctx.output.set(DONE, 1)
         self.counters["flows_failed"] += 1
         self._stats[flow.name]["failed"] += 1
         return flow.failure_rc
@@ -295,14 +260,12 @@ class FlowRuntime:
                 )
             )
 
-    def on_step_replayed(self, fctx, spec, fid, mode) -> None:
-        self.counters["steps_replayed_%s" % mode] += 1
+    def on_step_replayed(self, fctx, spec, fid) -> None:
+        self.counters["steps_replayed_resume"] += 1
         self._stats[fctx.flow.name]["steps_replayed"] += 1
         if not self._obs_on:
             return
-        (
-            self._c_replay_resume if mode == "resume" else self._c_replay_loop
-        ).inc()
+        self._c_replayed.inc()
         hooks = self._obs.hooks
         if hooks.wants(FlowStepReplayed):
             hooks.publish(
@@ -311,7 +274,6 @@ class FlowRuntime:
                     fctx.flow.name,
                     spec.name,
                     fid,
-                    mode,
                     self._engine.navigator.clock,
                 )
             )
@@ -347,13 +309,10 @@ class FlowRuntime:
         )
         self._c_exec_step = executed.labels("step")
         self._c_exec_txn = executed.labels("transaction")
-        replayed = metrics.counter(
+        self._c_replayed = metrics.counter(
             "flow_steps_replayed_total",
-            "Flow steps answered from the journal",
-            labels=("mode",),
+            "Flow steps answered from the journal on resume",
         )
-        self._c_replay_loop = replayed.labels("loop")
-        self._c_replay_resume = replayed.labels("resume")
         self._h_step_seconds = metrics.histogram(
             "flow_step_seconds",
             "Wall-clock seconds per live step body",

@@ -168,13 +168,13 @@ class FlowStepExecuted:
 
 @dataclass(frozen=True)
 class FlowStepReplayed:
-    """A durable-flow step returned its journaled result (no body)."""
+    """A resumed durable-flow step returned its journaled result (no
+    body)."""
 
     workflow_uuid: str
     flow: str
     step: str
     function_id: int
-    mode: str  # loop | resume
     at: float
 
 

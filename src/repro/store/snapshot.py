@@ -5,10 +5,12 @@ everything a navigator needs to resume live instances without
 replaying the journal prefix it covers: the instances themselves
 (activity states, attempts, containers, connector evaluations), the
 instance-id sequence counter, the logical clock, the audit slice of
-the live instances, and the set of registered definition
-name+version pairs the instances were started against.  The
-``offset`` names the first journal record *not* covered — recovery
-restores the snapshot and replays only the suffix from ``offset`` on
+the live instances, the journaled step tables of interrupted durable
+flows (``flow_steps``, so compaction may drop their ``flow_step``
+records), and the set of registered definition name+version pairs the
+instances were started against.  The ``offset`` names the first
+journal record *not* covered — recovery restores the snapshot and
+replays only the suffix from ``offset`` on
 (:func:`repro.wfms.recovery.replay_with_store`).
 
 What is deliberately **not** captured: retry counters, timeout start
@@ -106,7 +108,7 @@ def capture_state(navigator, offset: int) -> dict[str, Any]:
         for version in registry.versions(name)
     ]
     instance_ids = list(navigator._instances)
-    return {
+    state = {
         "offset": int(offset),
         "clock": navigator.clock,
         "sequence": navigator._sequence,
@@ -118,6 +120,14 @@ def capture_state(navigator, offset: int) -> dict[str, Any]:
         "audit": navigator._audit.export_instances(instance_ids),
         "audit_next": navigator._audit.next_sequence,
     }
+    if navigator._flow_steps:
+        # Step tables exist only for interrupted flows (the navigator
+        # drops them at finish); JSON object keys are strings.
+        state["flow_steps"] = {
+            instance_id: {str(fid): record for fid, record in steps.items()}
+            for instance_id, steps in navigator._flow_steps.items()
+        }
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +223,13 @@ def restore_state(navigator, state: dict[str, Any]) -> int:
             and instance.state is not ProcessState.FINISHED
         ):
             navigator._g_running.inc()
+    navigator.load_flow_steps(
+        {
+            instance_id: steps
+            for instance_id, steps in state.get("flow_steps", {}).items()
+            if instance_id in navigator._instances
+        }
+    )
     navigator.set_sequence(int(state["sequence"]))
     navigator.clock = float(state["clock"])
     navigator._audit.restore(state["audit"], int(state["audit_next"]))

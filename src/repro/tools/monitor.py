@@ -345,8 +345,9 @@ def render_net(snapshot: dict[str, Any]) -> list[str]:
 
 def render_flows(snapshot: dict[str, Any]) -> list[str]:
     """Render a :meth:`FlowRuntime.snapshot` dump: one row per
-    registered flow (starts, completions, live executions vs journal
-    replays) plus the runtime-wide durability counters."""
+    registered flow (starts, completions, live executions vs steps
+    answered from the journal on resume) plus the runtime-wide
+    durability counters."""
     flows = snapshot.get("flows", [])
     lines = ["FLOWS (%d registered)" % len(flows)]
     lines.append(
@@ -380,12 +381,11 @@ def render_flows(snapshot: dict[str, Any]) -> list[str]:
     lines.append("")
     lines.append(
         "STEPS executed %d (%d transactional, %d failed) | "
-        "replayed %d loop / %d resume"
+        "replayed on resume %d"
         % (
             counters.get("steps_executed", 0),
             counters.get("txn_steps", 0),
             counters.get("steps_failed", 0),
-            counters.get("steps_replayed_loop", 0),
             counters.get("steps_replayed_resume", 0),
         )
     )

@@ -3,10 +3,11 @@
 "In most WFMSs the execution of a process is persistent in the sense
 that forward recovery is always guaranteed" (§3.3).  The engine records
 every *non-deterministic decision* — process starts with their inputs,
-activity completions with their outputs — as JSON records.  Navigation
-itself is deterministic, so replaying these records through the same
-navigator reconstructs the exact pre-crash state; see
-:mod:`repro.wfms.recovery`.
+activity completions with their outputs, and each durable-flow step's
+outcome (``flow_step``, keyed by ``(instance, function_id)``) — as JSON
+records.  Navigation itself is deterministic, so replaying these
+records through the same navigator reconstructs the exact pre-crash
+state; see :mod:`repro.wfms.recovery`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ RECORD_TYPES = {
     "process_finished",
     "process_suspended",
     "process_resumed",
+    "flow_step",
 }
 
 #: Legal values for the ``sync`` policy.
@@ -363,7 +365,10 @@ class ReplayCursor:
     """Recorded activity completions, consumed during recovery.
 
     Keyed by ``(instance_id, activity, attempt)`` so exit-condition
-    loops replay each iteration's recorded output.
+    loops replay each iteration's recorded output.  ``flow_step``
+    records are collected per instance into :attr:`flow_steps`
+    (``instance -> {function_id: record}``), which the navigator's
+    step tables take over wholesale at :meth:`begin_replay`.
 
     ``archived`` (the durable-store recovery path) names instances
     whose final state already lives in the
@@ -386,6 +391,7 @@ class ReplayCursor:
         #: checkpoint-restore path uses this to re-run instances that
         #: were suspended at snapshot time but resumed in the suffix.
         self.resumed: set[str] = set()
+        self.flow_steps: dict[str, dict[int, dict[str, Any]]] = {}
         for record in records:
             kind = record["type"]
             if archived and record.get("instance") in archived:
@@ -403,6 +409,15 @@ class ReplayCursor:
                         "duplicate completion record for %s" % (key,)
                     )
                 self._completions[key] = record
+            elif kind == "flow_step":
+                steps = self.flow_steps.setdefault(record["instance"], {})
+                fid = int(record["function_id"])
+                if fid in steps:
+                    raise RecoveryError(
+                        "duplicate step record for %s function_id %d"
+                        % (record["instance"], fid)
+                    )
+                steps[fid] = record
             elif kind == "process_finished":
                 self.finished.add(record["instance"])
             elif kind == "process_suspended":

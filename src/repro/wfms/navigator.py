@@ -176,6 +176,12 @@ class Navigator:
         self._arrivals = 0
         self._sequence = 0
         self._replay: ReplayCursor | None = None
+        #: durable-flow step tables: instance_id -> {function_id:
+        #: journaled ``flow_step`` record}.  Written through the
+        #: journal by :meth:`record_flow_step`, refilled from the replay
+        #: cursor and checkpoints, dropped when the instance finishes
+        #: (so before any archive or eviction).
+        self._flow_steps: dict[str, dict[int, dict[str, Any]]] = {}
         #: work discovered during replay that has no recorded outcome;
         #: it is executed live once replay ends.
         self._deferred: list[tuple[str, str]] = []
@@ -1201,6 +1207,8 @@ class Navigator:
         if not instance.all_terminated():
             return
         self._move_state(instance, ProcessState.FINISHED)
+        if self._flow_steps:
+            self._flow_steps.pop(instance.instance_id, None)
         if self._obs_on:
             self._c_proc_finished.labels(instance.definition.name).inc()
             self._g_running.dec()
@@ -1283,6 +1291,35 @@ class Navigator:
         if self._journal is not None and self._replay is None:
             self._journal.append(record)
 
+    def flow_steps(self, instance_id: str) -> dict[int, dict[str, Any]]:
+        """The journaled flow steps of one instance (read-only view;
+        empty for an instance that has journaled none)."""
+        return self._flow_steps.get(instance_id, {})
+
+    def record_flow_step(
+        self, instance_id: str, function_id: int, outcome: dict[str, Any]
+    ) -> None:
+        """Journal one flow step's outcome, then add it to the
+        instance's step table.  This append is the step's journal
+        point: its effect is durable iff this record is."""
+        record = {
+            "type": "flow_step",
+            "instance": instance_id,
+            "function_id": function_id,
+        }
+        record.update(outcome)
+        self._journal_write(record)
+        self._flow_steps.setdefault(instance_id, {})[function_id] = record
+
+    def load_flow_steps(
+        self, tables: dict[str, dict[Any, dict[str, Any]]]
+    ) -> None:
+        """Merge recovered step tables (replay cursor, checkpoint)."""
+        for instance_id, steps in tables.items():
+            table = self._flow_steps.setdefault(instance_id, {})
+            for function_id, record in steps.items():
+                table[int(function_id)] = record
+
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
@@ -1308,6 +1345,7 @@ class Navigator:
     def begin_replay(self, cursor: ReplayCursor) -> None:
         self._replay = cursor
         self._deferred = []
+        self.load_flow_steps(cursor.flow_steps)
 
     def end_replay(self) -> None:
         self._replay = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
-from repro.errors import ProgramError
+from repro.errors import JournalError, ProgramError
 from repro.wfms.containers import Container
 
 
@@ -102,6 +102,11 @@ class ProgramRegistry:
         registered = self.get(name)
         try:
             result = registered.callable(ctx)
+        except JournalError:
+            # The engine's own disk failed under the program (a durable
+            # flow journals each step from inside its driver): an
+            # engine failure, not a program failure.
+            raise
         except Exception as exc:  # program bug, not a modelled abort
             raise ProgramError(
                 "program %r raised %s: %s" % (name, type(exc).__name__, exc)

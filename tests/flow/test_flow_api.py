@@ -1,20 +1,18 @@
 """The decorator front end: @workflow/@step/@transaction semantics on
-a live engine — journaled replay, one live step per attempt,
+a live engine — one attempt per flow journaling one record per step,
 StepFailure handling, savepoint rollback, and the runtime surface."""
 
 import json
 
 import pytest
 
-from repro.errors import DefinitionError, FlowError, StepFailure
+from repro.errors import DefinitionError, FlowError, JournalError, StepFailure
 from repro.flow import (
     ARGS,
-    DONE,
     DRIVE,
     DRIVE_PROGRAM,
     ERROR,
     FLOW_SERVICE,
-    JOURNAL,
     RESULT,
     FlowRuntime,
     current_context,
@@ -25,6 +23,8 @@ from repro.flow import (
     workflow,
 )
 from repro.obs import FlowStepExecuted, FlowStepReplayed, Observability
+from repro.resilience import FaultInjector, FaultRule
+from repro.wfms.conditions import ALWAYS
 
 from tests.flow.harness import flow_engine
 
@@ -107,15 +107,14 @@ class TestDecorators:
         assert sorted(d.activities) == [DRIVE]
         drive = d.activities[DRIVE]
         assert drive.program == DRIVE_PROGRAM
-        assert drive.exit_condition.source == "%s = 1" % DONE
-        # The loop-carried self connector that feeds the journal.
-        self_edges = [
+        # One-shot: no exit-condition loop, no self connector carrying
+        # a journal between attempts.
+        assert drive.exit_condition.source == ALWAYS.source
+        assert not [
             c
             for c in d.data_connectors
             if c.source == DRIVE and c.target == DRIVE
         ]
-        assert len(self_edges) == 1
-        assert tuple(self_edges[0].mappings) == ((JOURNAL, JOURNAL),)
         # Compilation is cached on the Flow.
         assert checkout.definition is d
 
@@ -133,11 +132,13 @@ class TestRunningFlows:
         assert result.value == {"total": 10, "balance": -10, "uuid": uuid}
         assert calls == [("fetch", 99), ("tax", 7), ("debit", "acct:bob")]
         assert db.get("acct:bob") == -10
-        # 3 steps -> 3 attempts; earlier steps replay on later attempts.
+        # One attempt runs all 3 steps live; nothing replays.
         assert rt.counters["steps_executed"] == 3
-        assert rt.counters["steps_replayed_loop"] == 3  # 1 + 2
+        assert rt.counters["steps_replayed_resume"] == 0
+        assert rt.counters["flows_resumed"] == 0
         assert rt.counters["flows_completed"] == 1
         assert rt.counters["txn_steps"] == 1
+        assert engine.audit.execution_order(uuid) == [DRIVE]
 
     def test_two_flows_interleave_without_crosstalk(self, engine):
         calls = []
@@ -204,7 +205,6 @@ class TestRunningFlows:
                 explode()
             except StepFailure as exc:
                 first = (exc.error_type, exc.error_message)
-            # Force extra attempts so the journaled failure replays.
             after()
             try:
                 explode()
@@ -247,7 +247,7 @@ class TestRunningFlows:
         assert db.get("reserved") is None
         assert rt.counters["flows_failed"] == 1
 
-    def test_nondeterministic_flow_detected(self, engine):
+    def test_nondeterministic_flow_detected(self, db, tmp_path):
         flips = []
 
         @step
@@ -260,8 +260,9 @@ class TestRunningFlows:
 
         @workflow
         def unstable(flow):
-            # Branch on mutable *external* state: attempt 2 replays a
-            # journal whose fid 1 was recorded for the other step.
+            # Branch on mutable *external* state: the resumed attempt
+            # replays a journal whose fid 1 was recorded for the other
+            # step.
             if flips:
                 other()
             else:
@@ -270,12 +271,70 @@ class TestRunningFlows:
             first()
             return "done"
 
+        journal = str(tmp_path / "j.log")
+        # Crash just after fid 1's record (journal record 2) is on file.
+        injector = FaultInjector(
+            [FaultRule("journal.fsync", match="append", schedule={2})]
+        )
+        engine = flow_engine(db, journal_path=journal, fault_injector=injector)
+        uuid = install_flows(engine, [unstable]).start("unstable")
+        with pytest.raises(JournalError):
+            engine.run()
+        engine.crash()
+        engine = flow_engine(db, journal_path=journal)
         rt = install_flows(engine, [unstable])
-        uuid = rt.start("unstable")
+        engine.recover()
         engine.run()
         result = rt.result(uuid)
         assert not result.ok
         assert "not deterministic" in result.error
+
+    def test_journal_failure_cannot_be_swallowed_by_the_flow(
+        self, db, tmp_path
+    ):
+        """A failed step-record append kills the attempt even when the
+        workflow catches every exception: the error resurfaces at the
+        next step call and at the driver, and the engine degrades to
+        crashed instead of finishing the flow."""
+        bodies = []
+
+        @step
+        def note(i):
+            bodies.append(i)
+            return i
+
+        @workflow
+        def stubborn(flow):
+            for i in range(3):
+                try:
+                    note(i)
+                except Exception:
+                    pass
+            return "finished anyway"
+
+        injector = FaultInjector(
+            [FaultRule("journal.append", match="flow_step", schedule={2})]
+        )
+        engine = flow_engine(
+            db, journal_path=str(tmp_path / "j.log"), fault_injector=injector
+        )
+        rt = install_flows(engine, [stubborn])
+        uuid = rt.start("stubborn")
+        with pytest.raises(JournalError):
+            engine.run()
+        assert engine.crashed
+        # The third body never ran: the dead attempt refused it.
+        assert bodies == [0, 1]
+        assert rt.counters["flows_completed"] == 0
+        assert rt.counters["flows_failed"] == 0
+        engine.crash()
+        engine = flow_engine(db, journal_path=str(tmp_path / "j.log"))
+        rt = install_flows(engine, [stubborn])
+        engine.recover()
+        engine.run()
+        assert rt.result(uuid).value == "finished anyway"
+        # Step 1's record was lost, so its body ran again.
+        assert bodies == [0, 1, 1, 2]
 
     def test_max_steps_bounds_runaway_flows(self, engine):
         @step
@@ -321,7 +380,7 @@ class TestRunningFlows:
         @workflow
         def wf(flow):
             # The live attempt must see the JSON shape, not the tuple —
-            # otherwise replay attempts would diverge from attempt 1.
+            # otherwise a resumed attempt would diverge from this one.
             value = pair()
             assert isinstance(value, list)
             return value
@@ -435,7 +494,7 @@ class TestRuntimeSurface:
         assert entry["started"] == 1
         assert entry["completed"] == 1
         assert entry["steps_executed"] == 3
-        assert entry["steps_replayed"] == 3
+        assert entry["steps_replayed"] == 0
         assert snap["counters"]["flows_started"] == 1
 
 
@@ -456,21 +515,16 @@ class TestObservability:
         exec_counter = metrics.get("flow_steps_executed_total")
         assert exec_counter.labels("step").value == 2
         assert exec_counter.labels("transaction").value == 1
-        replay_counter = metrics.get("flow_steps_replayed_total")
-        assert replay_counter.labels("loop").value == 3
+        # An uncrashed flow replays nothing.
+        assert metrics.get("flow_steps_replayed_total").value == 0
         assert metrics.get("flow_step_seconds").count == 3
 
         assert [e.step for e in executed] == ["fetch", "taxed", "debit"]
         assert executed[0].workflow_uuid == uuid
         assert executed[2].kind == "transaction"
-        assert [(e.step, e.function_id) for e in replayed] == [
-            ("fetch", 1),
-            ("fetch", 1),
-            ("taxed", 2),
-        ]
-        assert all(e.mode == "loop" for e in replayed)
+        assert replayed == []
 
-        # Step spans parent under the Drive activity spans.
+        # Step spans parent under the Drive activity span.
         tracer = engine.obs.tracer
         step_spans = tracer.spans(name="flow.step fetch")
         assert len(step_spans) == 1

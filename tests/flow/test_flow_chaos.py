@@ -7,7 +7,9 @@ body executing exactly once.
 Two topologies:
 
 * plain journal-backed :class:`~repro.wfms.engine.Engine` — ten
-  schedules;
+  schedules, each crashing just after PRNG-chosen journal records
+  reached the file (mid-flow: a flow runs to completion inside one
+  engine step, so its crash points are its records);
 * a durable socket-broker cluster (``front`` node calling flows served
   by a ``flowd`` node over :class:`~repro.net.BusServerThread` with a
   write-ahead bus log) — four schedules with flow-engine kills, plus a
@@ -22,6 +24,7 @@ import socket
 import pytest
 
 from repro.core.scoped import install_scope_service
+from repro.errors import JournalError
 from repro.flow import (
     ARGS,
     ERROR,
@@ -34,6 +37,7 @@ from repro.flow import (
     workflow,
 )
 from repro.net import BusServerThread, SocketBus
+from repro.resilience import FaultInjector, FaultRule
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.distributed import WorkflowNode, _advance_to_timers
@@ -47,6 +51,9 @@ from tests.flow.harness import (
 
 PLAIN_SEEDS = list(range(10))
 BROKER_SEEDS = list(range(4))
+#: Journal records a plain schedule may crash after: past the two
+#: start records, within the shortest run's 17 records.
+PLAIN_KILL_RANGE = range(3, 18)
 
 
 def make_chaos_flows(calls):
@@ -97,8 +104,13 @@ def run_plain_schedule(seed, tmp):
     """One full run of seed's schedule; returns its JSON trace."""
     rng = random.Random(seed)
     starts = [(0, 2 + seed % 3), (1, 3)]
-    kills = sorted(rng.sample(range(1, 15), 1 + rng.randrange(3)),
-                   reverse=True)
+    kills = sorted(rng.sample(PLAIN_KILL_RANGE, 1 + rng.randrange(3)))
+    # One injector across incarnations: the fsync of the n-th
+    # ``sync="always"`` append fails just after its record reached the
+    # file, and the engine degrades to crashed.
+    injector = FaultInjector(
+        [FaultRule("journal.fsync", match="append", schedule=kills)]
+    )
     os.makedirs(tmp, exist_ok=True)
     jp = os.path.join(tmp, "j.log")
     calls: list = []
@@ -106,7 +118,7 @@ def run_plain_schedule(seed, tmp):
     totals: dict = {}
 
     def boot():
-        engine = flow_engine(db, journal_path=jp)
+        engine = flow_engine(db, journal_path=jp, fault_injector=injector)
         return engine, install_flows(engine, make_chaos_flows(calls),
                                      seed=seed)
 
@@ -119,15 +131,19 @@ def run_plain_schedule(seed, tmp):
     engine, rt = boot()
     uuids = [rt.start("order", idx, n) for idx, n in starts]
     done = 0
-    while engine.step():
-        done += 1
-        if kills and kills[-1] == done:
-            kills.pop()
+    while True:
+        try:
+            if not engine.step():
+                break
+        except JournalError:
             engine.crash()
             bank(rt)
             engine, rt = boot()
             engine.recover()
+            continue
+        done += 1
     bank(rt)
+    assert len(injector.fired) == len(kills)
 
     results = {}
     for uuid in uuids:
@@ -147,6 +163,7 @@ def run_plain_schedule(seed, tmp):
         "db": db.snapshot(),
         "counters": totals,
         "engine_steps": done,
+        "faults": injector.trace(),
     }
 
 
@@ -160,6 +177,7 @@ def test_plain_schedule_replays_bit_identical(seed, tmp_path):
     # The schedule actually resumed through at least one kill, and the
     # exactly-once invariant held through it (checked per-run above).
     assert first["counters"]["flows_completed"] == 2
+    assert first["faults"]
 
 
 def test_schedules_actually_differ():
@@ -168,7 +186,7 @@ def test_schedules_actually_differ():
     for seed in PLAIN_SEEDS:
         rng = random.Random(seed)
         plans.add(
-            tuple(sorted(rng.sample(range(1, 15), 1 + rng.randrange(3))))
+            tuple(sorted(rng.sample(PLAIN_KILL_RANGE, 1 + rng.randrange(3))))
         )
     assert len(plans) >= 7
 

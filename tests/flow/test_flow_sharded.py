@@ -4,6 +4,7 @@ shared scope service, and per-shard crash/recover mid-flow."""
 import pytest
 
 from repro.core.scoped import SCOPE_SERVICE
+from repro.errors import JournalError
 from repro.flow import (
     StepFailure,
     flow_args,
@@ -13,6 +14,7 @@ from repro.flow import (
     transaction,
     workflow,
 )
+from repro.resilience import FaultInjector, FaultRule
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.sharding import ShardedEngine
 
@@ -41,8 +43,10 @@ def make_flows(calls):
     return [chain]
 
 
-def build_cluster(tmp_path, shards, calls, db):
-    sharded = ShardedEngine(shards, journal_dir=tmp_path, seed=5)
+def build_cluster(tmp_path, shards, calls, db, injector=None):
+    sharded = ShardedEngine(
+        shards, journal_dir=tmp_path, seed=5, fault_injector=injector
+    )
     sharded.install_service(SCOPE_SERVICE, ScopeManager(db))
     flows = make_flows(calls)
     runtimes = {}
@@ -89,17 +93,20 @@ class TestShardedFlows:
     def test_shard_crash_mid_flow_resumes_exactly_once(self, tmp_path):
         calls: list = []
         db = SimDatabase()
-        sharded, runtimes = build_cluster(tmp_path, 3, calls, db)
+        # The cluster's journals see the six starts, then the first
+        # flow to run journals its steps: its shard dies just after
+        # the third step record reached the file.
+        injector = FaultInjector(
+            [FaultRule("journal.fsync", match="append", schedule={9})]
+        )
+        sharded, runtimes = build_cluster(tmp_path, 3, calls, db, injector)
         ids = [
             sharded.start_process("chain", flow_args("t%d" % i, 4))
             for i in range(6)
         ]
-        victim = sharded.shard_index_for_root(ids[0])
-        # A few rounds in, the victim shard dies mid-flow.
-        for __ in range(2):
-            sharded.pump_round()
-        sharded.crash_shard(victim)
-        assert sharded.crashed_shards() == [victim]
+        with pytest.raises(JournalError):
+            sharded.run()
+        [victim] = sharded.crashed_shards()
         assert sharded.recover() == [victim]
         sharded.run()
         for i, iid in enumerate(ids):
@@ -112,7 +119,8 @@ class TestShardedFlows:
         # it had already journaled.
         rebuilt = runtimes["shard-%d" % victim]
         assert rebuilt.counters["flows_started"] == 0
-        assert rebuilt.counters["steps_replayed_resume"] >= 0
+        assert rebuilt.counters["flows_resumed"] == 1
+        assert rebuilt.counters["steps_replayed_resume"] == 3
 
     def test_step_failure_semantics_survive_sharding(self, tmp_path):
         calls: list = []

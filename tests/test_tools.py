@@ -239,7 +239,9 @@ class TestMonitorNetViews:
         shown = capsys.readouterr().out
         assert "FLOWS (1 registered)" in shown
         assert "doubler" in shown
-        assert "replayed 1 loop / 0 resume" in shown
+        # An uncrashed flow runs both steps live and replays none.
+        assert "STEPS executed 2 (0 transactional, 0 failed)" in shown
+        assert "replayed on resume 0" in shown
 
     def test_dlq_requires_live_target(self, capsys):
         from repro.tools.monitor import main as monitor_main
